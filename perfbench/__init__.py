@@ -1,0 +1,5 @@
+"""The repository benchmark: two closed-loop workloads over the KernelGPT reproduction.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+from the repository root; see ``perfbench/README.md``.
+"""
