@@ -28,6 +28,7 @@ in DESIGN.md):
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -98,17 +99,21 @@ def run_generation_task(
             exchanges_start = len(backend.exchanges)
 
     outcome = GenerationOutcome(handler_name=task.handler_name)
-    try:
-        if task.mode == "all-in-one":
-            outcome.result = generator.generate_all_in_one(
-                task.handler_name, engine=engine, repair_mode=task.repair_mode
-            )
-        else:
-            outcome.result = generator.generate_for_handler(
-                task.handler_name, engine=engine, repair_mode=task.repair_mode
-            )
-    except (ExtractionError, GenerationError):
-        outcome.result = None
+    # A worker runs many tasks on one backend copy: each task's budget
+    # check starts from the fan-out reservations, and only the join
+    # charges the merged total.
+    with backend.isolated_reservations() if collect_side_effects else nullcontext():
+        try:
+            if task.mode == "all-in-one":
+                outcome.result = generator.generate_all_in_one(
+                    task.handler_name, engine=engine, repair_mode=task.repair_mode
+                )
+            else:
+                outcome.result = generator.generate_for_handler(
+                    task.handler_name, engine=engine, repair_mode=task.repair_mode
+                )
+        except (ExtractionError, GenerationError):
+            outcome.result = None
 
     if collect_side_effects:
         outcome.usage = backend.usage

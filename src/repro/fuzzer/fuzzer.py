@@ -22,7 +22,7 @@ from ..kernel.coverage import CoverageBitmap, CoverageSpace
 from ..syzlang import ConstantTable, SpecSuite
 from .crash import CrashLog
 from .executor import ExecutionResult, KernelExecutor
-from .generation import ProgramGenerator
+from .generation import ProgramGenerator, below
 from .program import Program
 from .vm import VMPool
 
@@ -126,8 +126,9 @@ class Fuzzer:
         return campaign
 
     def _next_program(self) -> Program:
-        if self._corpus and self.rng.random() < self.mutation_bias:
-            return self.generator.mutate(self.rng.choice(self._corpus))
+        corpus = self._corpus
+        if corpus and self.rng.random() < self.mutation_bias:
+            return self.generator.mutate(corpus[below(len(corpus), self.rng.getrandbits)])
         return self.generator.generate()
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -483,6 +484,24 @@ class LLMBackend(abc.ABC):
                 f"backend {self.model!r} exceeded its query budget of {self._query_budget} "
                 f"across process shards ({self._reserved_queries} queries issued)"
             )
+
+    @contextmanager
+    def isolated_reservations(self):
+        """Undo the budget reservations made inside the block when it exits.
+
+        A process worker serves every task it runs with one unpickled copy
+        of the backend.  Each task must start from the parent's reservation
+        count at fan-out, or reservations grow across the worker's tasks and
+        the worker raises for queries only the join may charge.  Inside the
+        block the budget is still enforced per task; usage is unaffected.
+        """
+        with self._budget_lock:
+            reserved = self._reserved_queries
+        try:
+            yield
+        finally:
+            with self._budget_lock:
+                self._reserved_queries = reserved
 
     # Backends are picklable so they can ride inside process-pool task
     # payloads; locks are recreated on unpickle.  The worker's copy meters

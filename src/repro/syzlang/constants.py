@@ -21,7 +21,12 @@ class ConstantTable:
     The table also supports reverse lookup (value → names), which the
     experiments use to render human-readable reports, and namespacing by
     source file, which mirrors how ``syz-extract`` scopes constants.
+
+    ``version`` counts edits, so caches of resolved values (the fuzzer's
+    value plans) can tell when a table they were built from has changed.
     """
+
+    version = 0
 
     def __init__(self, values: Mapping[str, int] | None = None):
         self._values: dict[str, int] = dict(values or {})
@@ -40,6 +45,7 @@ class ConstantTable:
                 f"{self._values[name]} vs {value}"
             )
         self._values[name] = value
+        self.version += 1
 
     def update(self, other: "ConstantTable | Mapping[str, int]") -> None:
         items = other.items() if isinstance(other, Mapping) else other._values.items()

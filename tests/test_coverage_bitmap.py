@@ -14,16 +14,21 @@ Three contracts:
   equal the string-set reference implementation preserved verbatim in
   ``repro.fuzzer.reference`` — which also generates through the pre-plan
   ladder generator, so the compiled value plans are pinned to the exact
-  legacy rng call sequence.
+  legacy rng call sequence.  A stream test pins the generator step by step:
+  same programs and same rng state after every generate and mutate.
 """
 
+import copy
 import pickle
+import random
 
 import pytest
 
 from repro.errors import CoverageSpaceMismatch
-from repro.fuzzer import Call, Fuzzer, KernelExecutor, Program, ResourceValue, run_campaign
-from repro.fuzzer.reference import run_reference_campaign
+from repro.fuzzer import (
+    Call, Fuzzer, KernelExecutor, Program, ProgramGenerator, ResourceValue, run_campaign,
+)
+from repro.fuzzer.reference import LadderProgramGenerator, run_reference_campaign
 from repro.kconfig import CONFIG_PRESETS, prune_coverage_space
 from repro.kernel import (
     CoverageBitmap,
@@ -176,22 +181,35 @@ def test_executor_reports_overflow_sockcall_labels(small_kernel):
 
 
 # ------------------------------------------------------- legacy equivalence
-def _matrix_suites(small_kernel, kernelgpt, syzkaller_corpus):
+#: SyzDescribe's untyped ``array[int8]`` arguments are the only inputs that
+#: reach the BytesValue mutation path; uinput's buffer-length guards make
+#: the buffer lengths that path draws show up in a campaign's results.
+SYZDESCRIBE_HANDLERS = MATRIX_HANDLERS + ["uinput_fops"]
+
+
+def _matrix_suites(small_kernel, kernelgpt, syzdescribe, syzkaller_corpus):
+    """The Syzkaller corpus plus KernelGPT's and SyzDescribe's suites."""
     suites = {"syzkaller": syzkaller_corpus.flatten("syzkaller")}
     for handler in MATRIX_HANDLERS:
         result = kernelgpt.generate_for_handler(handler)
         if result.valid:
             suites[handler] = result.suite
+    for handler in SYZDESCRIBE_HANDLERS:
+        described = syzdescribe.analyze_handler(handler)
+        if described.valid:
+            suites[f"syzdescribe:{handler}"] = described.suite
     return suites
 
 
 @pytest.mark.parametrize("seed,budget", [(13, 150), (1022, 400)])
 def test_campaign_labels_equal_legacy_string_sets(
-    small_kernel, kernelgpt, syzkaller_corpus, seed, budget
+    small_kernel, kernelgpt, syzdescribe, syzkaller_corpus, seed, budget
 ):
     """The property the whole rewrite hangs on: for every matrix suite, the
     bitmap campaign is *exactly* the legacy string-set campaign."""
-    for label, suite in _matrix_suites(small_kernel, kernelgpt, syzkaller_corpus).items():
+    suites = _matrix_suites(small_kernel, kernelgpt, syzdescribe, syzkaller_corpus)
+    assert any(label.startswith("syzdescribe:") for label in suites)
+    for label, suite in suites.items():
         reference = run_reference_campaign(small_kernel, suite, seed, budget)
         campaign = run_campaign(small_kernel, suite, seed, budget)
         assert campaign.coverage.labels() == reference.coverage, label
@@ -201,6 +219,41 @@ def test_campaign_labels_equal_legacy_string_sets(
         assert campaign.corpus_size == reference.corpus_size, label
         assert campaign.executed_calls == reference.executed_calls, label
         assert campaign.executed_programs == reference.executed_programs, label
+
+
+@pytest.mark.parametrize("seed", [5, 1022])
+def test_generator_stream_equals_ladder_oracle(
+    small_kernel, kernelgpt, syzdescribe, syzkaller_corpus, seed
+):
+    """Step by step, the compiled generator is the ladder oracle.
+
+    Generate and mutate calls interleave over a growing corpus, so mutation
+    also sees programs that share calls with earlier ones.  After every step
+    the programs and the rng states are equal, and no program — the mutated
+    input included — has changed since it was made.
+    """
+    suites = _matrix_suites(small_kernel, kernelgpt, syzdescribe, syzkaller_corpus)
+    for label, suite in suites.items():
+        generator = ProgramGenerator(suite, small_kernel.constants, seed=seed)
+        oracle = LadderProgramGenerator(suite, small_kernel.constants, seed=seed)
+        picker = random.Random(seed)
+        corpus: list[Program] = []
+        snapshots: list[Program] = []
+        for step in range(300):
+            if corpus and picker.random() < 0.6:
+                source = corpus[picker.randrange(len(corpus))]
+                before = copy.deepcopy(source)
+                program = generator.mutate(source)
+                expected = oracle.mutate(source)
+                assert source == before, (label, step)
+            else:
+                program = generator.generate()
+                expected = oracle.generate()
+            assert program == expected, (label, step)
+            assert generator.rng.getstate() == oracle.rng.getstate(), (label, step)
+            corpus.append(program)
+            snapshots.append(copy.deepcopy(program))
+        assert corpus == snapshots, label
 
 
 def test_campaign_bitmap_survives_pickling(small_kernel, dm_result):

@@ -136,22 +136,26 @@ def test_transactional_repair_matrix(
     assert flags == per_query_flags
 
 
-def test_process_generation_enforces_query_budget_at_join(small_kernel, extractor):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_process_generation_enforces_query_budget_at_join(small_kernel, extractor, workers):
     """A blown query budget fails the batch in process mode too.
 
-    Worker copies enforce the budget per shard during the batch; the join
+    Worker copies enforce the budget per task during the batch; the join
     charges the merged total against the parent's reservations, so the run
-    still ends in LLMBudgetExceeded exactly like a shared-memory run.
+    still ends in LLMBudgetExceeded exactly like a shared-memory run.  With
+    one worker, every task runs on the same backend copy: its reservations
+    must not carry over from one task to the next.
     """
     from repro.errors import LLMBudgetExceeded
 
     # HANDLERS need ~100 queries total but no single handler needs more
-    # than ~35, so a budget of 60 passes every per-shard check and the
+    # than ~35, so a budget of 60 passes every per-task check and the
     # violation is only detectable at the merge — which must raise.
     backend = OracleBackend(query_budget=60)
     generator = KernelGPT(small_kernel, backend, extractor=extractor)
-    with pytest.raises(LLMBudgetExceeded):
-        generator.generate_for_handlers(HANDLERS, engine=_engine("process", 2))
+    engine = ExecutionEngine(jobs=2, executor=ProcessPoolExecutor(workers))
+    with pytest.raises(LLMBudgetExceeded, match="across process shards"):
+        generator.generate_for_handlers(HANDLERS, engine=engine)
     # Usage/exchange merging still happened before the raise.
     assert backend.usage.queries > 60
 

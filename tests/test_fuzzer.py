@@ -1,10 +1,19 @@
 """Tests for the fuzzing substrate: generation, execution, campaigns."""
 
+import random
+import sys
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import ExecutionEngine, ThreadPoolExecutor
 from repro.fuzzer import (
-    Fuzzer, KernelExecutor, ProgramGenerator, StructValue, run_repeated_campaigns,
+    Fuzzer, KernelExecutor, ProgramGenerator, StructValue, run_campaign_matrix,
+    run_repeated_campaigns,
 )
+from repro.fuzzer.generation import _choice_plan, _randint_plan, below
+from repro.kernel import build_default_kernel
+from repro.syzlang import parse_suite
 
 
 def test_program_generation_respects_dependencies(small_kernel, dm_result):
@@ -87,3 +96,107 @@ def test_property_unknown_commands_never_crash(small_kernel, value):
     ])
     result = executor.execute(program)
     assert not result.crashes
+
+
+# ------------------------------------------------------------------ draws
+@pytest.mark.parametrize("seed", [0, 1, 13, 2024])
+def test_inline_draws_equal_random_methods(seed):
+    """The inline draws are ``Random.choice``/``randint``/``randrange``, bit
+    for bit: same values and same rng state, for every n in 1..300.  A change
+    in the standard library's draw algorithm fails here first."""
+    reference, inline = random.Random(seed), random.Random(seed)
+    getrandbits = inline.getrandbits
+    for n in range(1, 301):
+        pool = tuple(range(100, 100 + n))
+        assert pool[below(n, getrandbits)] == reference.choice(pool)
+        assert -7 + below(n, getrandbits) == reference.randint(-7, n - 8)
+        assert 3 + below(n, getrandbits) == reference.randrange(3, 3 + n)
+        assert _choice_plan(pool)(None, getrandbits) == reference.choice(pool)
+        assert _randint_plan(5, 4 + n)(None, getrandbits) == reference.randint(5, 4 + n)
+        assert inline.getstate() == reference.getstate(), n
+
+
+# ------------------------------------------------------------- plan cache
+_LAYOUT_SPEC = """
+resource fd_lay[fd]
+openat$lay(fd const[AT_FDCWD, int64], file ptr[in, string["/dev/lay"]], flags const[O_RDWR, int32]) fd_lay
+ioctl$LAY(fd fd_lay, cmd const[{cmd}, int32], arg ptr[in, lay_args])
+"""
+
+
+def _layout_suite(name, *definitions, cmd="0x10"):
+    return parse_suite(_LAYOUT_SPEC.format(cmd=cmd) + "\n".join(definitions), name)
+
+
+def _payloads(suite, constants, *, seed=3, programs=20):
+    """Every ioctl call of ``programs`` generated programs."""
+    generator = ProgramGenerator(suite, constants, seed=seed)
+    return [
+        call
+        for _ in range(programs)
+        for call in generator.generate().calls
+        if call.syscall == "ioctl"
+    ]
+
+
+def test_plan_cache_keeps_each_suites_struct_layout(small_kernel):
+    """One struct name, several layouts in one process: each suite gets its
+    own fields, and a suite whose nested struct is larger gets its own size."""
+    constants = small_kernel.constants
+    narrow = _layout_suite("narrow", "lay_args {\n\tlen int32\n\tflags int32\n}")
+    wide = _layout_suite("wide", "lay_args {\n\tcount int64\n}")
+    nested_small = _layout_suite(
+        "nested-small", "lay_args {\n\tinner lay_inner\n}", "lay_inner {\n\tp int32\n}"
+    )
+    nested_large = _layout_suite(
+        "nested-large", "lay_args {\n\tinner lay_inner\n}", "lay_inner {\n\tp int32\n\tq int64\n}"
+    )
+    for suite in (narrow, wide, nested_small, nested_large, narrow):
+        size = suite.get_type_def("lay_args").byte_size(suite.size_resolver())
+        fields = set(suite.get_type_def("lay_args").field_names())
+        calls = _payloads(suite, constants)
+        assert calls, suite.name
+        for call in calls:
+            payload = call.args["arg"]
+            assert isinstance(payload, StructValue), suite.name
+            assert set(payload.fields) == fields, suite.name
+            assert payload.byte_size == size, suite.name
+    sizes = {suite.name: _payloads(suite, constants)[0].args["arg"].byte_size
+             for suite in (nested_small, nested_large)}
+    assert sizes == {"nested-small": 4, "nested-large": 12}
+
+
+def test_constant_defined_after_a_campaign_resolves_in_the_next(small_kernel):
+    constants = small_kernel.constants.copy()
+    suite = _layout_suite("late", "lay_args {\n\tflags int32\n}", cmd="LAY_LATE_CMD")
+    assert {call.args["cmd"] for call in _payloads(suite, constants)} == {0}
+    constants.define("LAY_LATE_CMD", 0xC0DE)
+    assert {call.args["cmd"] for call in _payloads(suite, constants)} == {0xC0DE}
+
+
+def test_threaded_campaign_matrix_equals_serial(dm_result, rds_result, syzkaller_corpus):
+    """Campaigns on four threads share one plan cache, built cold from a
+    fresh kernel, and still equal a serial run campaign for campaign."""
+    kernel = build_default_kernel("small")
+    suites = {
+        "dm": dm_result.suite,
+        "rds": rds_result.suite,
+        "syzkaller": syzkaller_corpus.flatten("syzkaller"),
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-compile as often as possible
+    try:
+        threaded = run_campaign_matrix(
+            kernel, suites, repetitions=2, budget_programs=150,
+            engine=ExecutionEngine(jobs=4, executor=ThreadPoolExecutor(4)),
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    serial = run_campaign_matrix(kernel, suites, repetitions=2, budget_programs=150)
+    assert list(threaded) == list(serial)
+    for label in suites:
+        for ours, theirs in zip(threaded[label], serial[label]):
+            assert ours.coverage == theirs.coverage, label
+            assert ours.crash_log.observations == theirs.crash_log.observations, label
+            assert ours.corpus_size == theirs.corpus_size, label
+            assert ours.executed_calls == theirs.executed_calls, label
