@@ -25,7 +25,7 @@ from .plan import cell_fuzz_id
 def _context(payload: TaskPayload):
     from ..experiments.context import shared_context
 
-    return shared_context(payload.preset, None, None, None, None, payload.store_spec)
+    return shared_context(payload.preset, store_spec=payload.store_spec)
 
 
 def _loaded_handlers(kernel, preset) -> set[str]:

@@ -18,7 +18,7 @@ still build each shared artifact exactly once.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
+from collections import OrderedDict
 
 from ..baselines import SyzDescribe, build_syzkaller_corpus
 from ..core import GenerationRun, KernelGPT, TargetSelection, select_target_handlers
@@ -194,19 +194,25 @@ class EvaluationContext:
         return corpus
 
 
-@lru_cache(maxsize=4)
+#: Process-wide contexts by canonical key, least recently used first.
+_CONTEXTS: "OrderedDict[tuple, EvaluationContext]" = OrderedDict()
+_CONTEXTS_LIMIT = 4
+_CONTEXTS_LOCK = threading.Lock()
+
+
 def shared_context(
     preset: str = "quick",
-    llm_backends: tuple[str, ...] | None = None,
+    *,
+    backends: tuple[str, ...] | None = None,
     pool_schedule: str | None = None,
     route_table: tuple[tuple[str, str], ...] | None = None,
     repair_mode: str | None = None,
     store_spec: tuple[str, str | None] | None = None,
     resilience_spec: tuple[str | None, str | None, int | None] | None = None,
 ) -> EvaluationContext:
-    """Process-wide cached context (benchmark modules, process-pool workers).
+    """Process-wide cached context (campaign tasks, process-pool workers).
 
-    ``llm_backends``, ``pool_schedule``, ``route_table`` and ``repair_mode``
+    ``backends``, ``pool_schedule``, ``route_table`` and ``repair_mode``
     carry the runner's ``--backends`` / ``--pool-schedule`` / ``--route`` /
     ``--repair-mode`` overrides into worker processes, which rebuild their
     context from these plain strings (contexts hold locks and engines that
@@ -216,15 +222,23 @@ def shared_context(
     through the store's own locking), and a lockfile additionally pins the
     loads and swaps the analyst for the raising
     :class:`~repro.store.FrozenBackend`.  ``resilience_spec`` is the
-    ``(--fault-plan, --retry, --breaker-threshold)`` triple — plain
-    hashable strings/ints so it survives both the lru_cache key and the
-    process-pool pickle.
+    ``(--fault-plan, --retry, --breaker-threshold)`` triple, as plain
+    strings/ints so it survives the process-pool pickle.
+
+    The overrides are keyword-only and resolve to one canonical key — the
+    resulting :class:`~repro.experiments.config.ExperimentConfig` plus the
+    store binding — so every caller that means the same configuration gets
+    the same context, however it spells the defaults.  Lookup and
+    construction run under one lock: concurrent first calls (tasks of one
+    thread-executor wave) share a single context instead of each building
+    the kernel and the generation run.  The four most recently used keys are
+    kept.
     """
     from . import config as config_module
 
     configuration = config_module.paper() if preset == "paper" else config_module.quick()
-    if llm_backends:
-        configuration = configuration.with_overrides(llm_backends=tuple(llm_backends))
+    if backends:
+        configuration = configuration.with_overrides(llm_backends=tuple(backends))
     if pool_schedule:
         configuration = configuration.with_overrides(pool_schedule=pool_schedule)
     if route_table:
@@ -238,18 +252,31 @@ def shared_context(
             retry_spec=retry_spec,
             breaker_threshold=breaker_threshold,
         )
-    context_engine = None
-    if store_spec is not None:
-        from ..store import ArtifactStore, FrozenLock, StoreBinding
+    key = (configuration, store_spec)
+    with _CONTEXTS_LOCK:
+        context = _CONTEXTS.get(key)
+        if context is None:
+            context = _CONTEXTS[key] = _build_context(configuration, store_spec)
+            if len(_CONTEXTS) > _CONTEXTS_LIMIT:
+                _CONTEXTS.popitem(last=False)
+        else:
+            _CONTEXTS.move_to_end(key)
+        return context
 
-        store_dir, frozen_path = store_spec
-        frozen = FrozenLock.load(frozen_path) if frozen_path else None
-        binding = StoreBinding(ArtifactStore(store_dir), frozen=frozen)
-        context_engine = ExecutionEngine(jobs=1, store=binding)
-    context = EvaluationContext(configuration, engine=context_engine)
-    if store_spec is not None and store_spec[1]:
-        from ..store import FrozenBackend
 
+def _build_context(
+    configuration: ExperimentConfig, store_spec: tuple[str, str | None] | None
+) -> EvaluationContext:
+    """A fresh context for one canonical key; the artifacts build lazily later."""
+    if store_spec is None:
+        return EvaluationContext(configuration)
+    from ..store import ArtifactStore, FrozenBackend, FrozenLock, StoreBinding
+
+    store_dir, frozen_path = store_spec
+    frozen = FrozenLock.load(frozen_path) if frozen_path else None
+    binding = StoreBinding(ArtifactStore(store_dir), frozen=frozen)
+    context = EvaluationContext(configuration, engine=ExecutionEngine(jobs=1, store=binding))
+    if frozen_path:
         context.analysis_backend = FrozenBackend(context.build_analysis_backend())
     return context
 

@@ -65,54 +65,28 @@ def run_experiment(name: str, ctx: EvaluationContext) -> TableResult:
     return runner(ctx)
 
 
-def run_experiment_for_preset(
-    name: str,
-    preset: str,
-    backends: tuple[str, ...] | None = None,
-    pool_schedule: str | None = None,
-    route_table: tuple[tuple[str, str], ...] | None = None,
-    repair_mode: str | None = None,
-    store_spec: tuple[str, str | None] | None = None,
-    resilience_spec: tuple[str | None, str | None, int | None] | None = None,
-) -> TableResult:
-    """Run one experiment against a worker-local context for ``preset``.
+def run_experiment_for_preset(name: str, preset: str, **overrides) -> TableResult:
+    """Run one experiment against the process-wide context for ``preset``.
 
-    The process-pool task payload: module-level, with string arguments, so
-    it pickles by name.  ``shared_context`` is process-cached, so a worker
-    that runs several experiments builds the kernel/generation artifacts
-    once — the per-process analogue of the thread path's shared context.
-    Experiments are deterministic functions of the configuration, so the
-    rendered result is byte-identical to the shared-memory path.
-    ``backends`` forwards the ``--backends`` profile line-up,
-    ``pool_schedule`` the ``--pool-schedule`` placement policy,
-    ``route_table`` the ``--route`` kind-route table, ``repair_mode``
-    the ``--repair-mode`` protocol choice and ``store_spec`` the
-    ``--store``/``--frozen`` artifact-store binding (workers share the
-    on-disk store; the parent's end-of-run ``--freeze`` snapshot therefore
-    covers their artifacts too).  ``resilience_spec`` forwards the
-    ``(--fault-plan, --retry, --breaker-threshold)`` triple so chaos runs
-    inject the same deterministic fault schedule in every worker process.
+    The process-pool and campaign task payload: module-level, with plain
+    string arguments, so it pickles by name.  ``overrides`` are
+    :func:`~repro.experiments.context.shared_context`'s keyword-only
+    overrides (``backends``, ``pool_schedule``, ``route_table``,
+    ``repair_mode``, ``store_spec``, ``resilience_spec``), carrying the
+    runner's flags into worker processes.  ``shared_context`` keeps one
+    context per configuration and store binding in each process, so a
+    worker (or a campaign) that runs several experiments builds the
+    kernel/generation artifacts once — the per-process analogue of the
+    thread path's shared context.  Experiments are deterministic functions
+    of the configuration, so the rendered result is byte-identical to the
+    shared-memory path.
     """
     from .context import shared_context
 
-    return run_experiment(
-        name,
-        shared_context(
-            preset, backends, pool_schedule, route_table, repair_mode, store_spec,
-            resilience_spec,
-        ),
-    )
+    return run_experiment(name, shared_context(preset, **overrides))
 
 
-def run_table1_for_preset(
-    preset: str,
-    backends: tuple[str, ...] | None = None,
-    pool_schedule: str | None = None,
-    route_table: tuple[tuple[str, str], ...] | None = None,
-    repair_mode: str | None = None,
-    store_spec: tuple[str, str | None] | None = None,
-    resilience_spec: tuple[str | None, str | None, int | None] | None = None,
-) -> "tuple[TableResult, str]":
+def run_table1_for_preset(preset: str, **overrides) -> "tuple[TableResult, str]":
     """table1 plus its §5.1.3 correctness audit as one process-pool payload.
 
     The audit needs the full generation run, which in process mode lives in
@@ -120,16 +94,13 @@ def run_table1_for_preset(
     redo the whole pipeline serially, and a separate audit task would build
     a second context on another worker.  Bundling table + rendered audit
     into one task means exactly one worker pays for the generation run.
-    ``backends`` only matters to the ablation, but it must be part of the
-    ``shared_context`` key here too, so a worker that runs table1 plus any
-    other experiment reuses one context instead of building two.
+    ``overrides`` are those of :func:`run_experiment_for_preset`; the
+    context is the same one every other caller in this process gets for
+    the same configuration and store binding.
     """
     from .context import shared_context
 
-    ctx = shared_context(
-        preset, backends, pool_schedule, route_table, repair_mode, store_spec,
-        resilience_spec,
-    )
+    ctx = shared_context(preset, **overrides)
     return run_table1(ctx), run_correctness_audit(ctx).render()
 
 
@@ -348,19 +319,20 @@ def main(argv: list[str] | None = None) -> int:
                 if args.store is not None
                 else None
             )
-            overrides = (
-                backends, args.pool_schedule, route_table, args.repair_mode, store_spec,
-                resilience_spec,
-            )
+            overrides = {
+                "backends": backends,
+                "pool_schedule": args.pool_schedule,
+                "route_table": route_table,
+                "repair_mode": args.repair_mode,
+                "store_spec": store_spec,
+                "resilience_spec": resilience_spec,
+            }
             tasks = [
-                TaskSpec(
-                    key=name, fn=run_table1_for_preset,
-                    args=(args.preset,) + overrides,
-                )
+                TaskSpec(key=name, fn=run_table1_for_preset, args=(args.preset,), kwargs=overrides)
                 if name == "table1"
                 else TaskSpec(
-                    key=name, fn=run_experiment_for_preset,
-                    args=(name, args.preset) + overrides,
+                    key=name, fn=run_experiment_for_preset, args=(name, args.preset),
+                    kwargs=overrides,
                 )
                 for name in names
             ]

@@ -45,6 +45,9 @@ _PROTO_OPS_MEMBER_RE = re.compile(
     r"\.(bind|connect|accept|sendto|recvfrom|sendmsg|recvmsg|poll)\s*=\s*(\w+)"
 )
 _OPERATION_BLOCK_SPLIT_RE = re.compile(r"/\* operation: ")
+_CASE_KEYWORD_RE = re.compile(r"case\s+")
+_LABEL_COLON_RE = re.compile(r"\s*:")
+_NEXT_LABEL_RE = re.compile(r"\n\s*case\s+\w+\s*:|\n\s*default\s*:")
 
 
 def _sections(prompt_text: str) -> dict[str, str]:
@@ -59,14 +62,21 @@ def _sections(prompt_text: str) -> dict[str, str]:
 
 
 def slice_case_block(code: str, macro: str) -> str | None:
-    """Return the statements belonging to ``case macro:`` inside a switch body."""
-    pattern = cached_pattern(
-        rf"case\s+{re.escape(macro)}\s*:(?P<body>.*?)(?=\n\s*case\s+\w+\s*:|\n\s*default\s*:)",
-        re.DOTALL,
-    )
-    match = pattern.search(code)
-    if match:
-        return match.group("body")
+    """Return the statements belonging to ``case macro:`` inside a switch body.
+
+    The block is the text after the first ``case macro:`` label up to the
+    next ``case``/``default`` label, or None when there is no such label
+    or no label follows it.  ``macro`` is an identifier token, matched
+    literally; ``case FOO_BAR:`` is not a ``FOO`` label.
+    """
+    for label in _CASE_KEYWORD_RE.finditer(code):
+        if not code.startswith(macro, label.end()):
+            continue
+        colon = _LABEL_COLON_RE.match(code, label.end() + len(macro))
+        if colon is None:
+            continue
+        following = _NEXT_LABEL_RE.search(code, colon.end())
+        return code[colon.end():following.start()] if following else None
     return None
 
 

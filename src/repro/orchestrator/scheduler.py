@@ -12,9 +12,14 @@ byte-identical event sequences (rule 10) no matter how workers interleave.
 
 Task payloads are process-portable by construction: a frozen
 :class:`TaskPayload` of plain strings/tuples executed by the module-level
-:func:`execute_campaign_task`, which resolves the worker-local evaluation
-context via the process-cached ``shared_context`` — the same pattern as the
-flat runner's process path, so campaign outputs are byte-identical to it.
+:func:`execute_campaign_task`.  Stage tasks, report tasks and the
+determinism gate all resolve their evaluation context through
+``shared_context``, which keeps one context per configuration and store
+binding in each process: the pipeline stages and the reports of one
+campaign share the kernel, extractor index and generation run the first of
+them builds (the gate, which runs without a store, shares them too when the
+campaign has none).  It is the same path as the flat runner's process
+workers, so campaign outputs are byte-identical to it.
 
 With an :class:`~repro.store.ArtifactStore`, each completed cacheable task
 is recorded under :func:`~repro.orchestrator.plan.campaign_key` — its id
@@ -70,7 +75,7 @@ class TaskPayload:
 def _context(payload: TaskPayload):
     from ..experiments.context import shared_context
 
-    return shared_context(payload.preset, None, None, None, None, payload.store_spec)
+    return shared_context(payload.preset, store_spec=payload.store_spec)
 
 
 def _suite_digest(text: str) -> str:
@@ -126,11 +131,10 @@ def _run_report(payload: TaskPayload) -> dict:
     from ..experiments.runner import run_experiment_for_preset, run_table1_for_preset
 
     name = payload.params_dict()["experiment"]
-    overrides = (None, None, None, None, payload.store_spec)
     if name == "table1":
-        table, audit = run_table1_for_preset(payload.preset, *overrides)
+        table, audit = run_table1_for_preset(payload.preset, store_spec=payload.store_spec)
         return {"experiment": name, "text": table.render(), "audit": audit}
-    result = run_experiment_for_preset(name, payload.preset, *overrides)
+    result = run_experiment_for_preset(name, payload.preset, store_spec=payload.store_spec)
     return {"experiment": name, "text": result.render()}
 
 

@@ -1,5 +1,8 @@
 """Tests for prompts, reply parsing and the oracle/degraded backends."""
 
+import random
+import re
+
 from repro.llm import (
     DegradedBackend, GPT35_PROFILE, OracleBackend, Prompt, PromptLibrary,
     RecordingBackend, ReplayBackend, parse_reply, slice_case_block,
@@ -108,6 +111,57 @@ def test_slice_case_block():
     code = "switch (optname) {\ncase OPT_A:\n\tdo_a();\n\tbreak;\ncase OPT_B:\n\tdo_b();\n\tbreak;\ndefault:\n\treturn -EINVAL;\n}"
     block = slice_case_block(code, "OPT_A")
     assert "do_a" in block and "do_b" not in block
+
+
+def regex_slice_case_block(code: str, macro: str) -> str | None:
+    """The one-regex-per-macro slicer ``slice_case_block`` replaced: its oracle."""
+    pattern = re.compile(
+        rf"case\s+{re.escape(macro)}\s*:(?P<body>.*?)(?=\n\s*case\s+\w+\s*:|\n\s*default\s*:)",
+        re.DOTALL,
+    )
+    match = pattern.search(code)
+    return match.group("body") if match else None
+
+
+@pytest.mark.parametrize("code,macro,expected", [
+    # A longer macro sharing the prefix is not the label.
+    ("case FOO_BAR:\n\tbar();\ncase FOO:\n\tfoo();\ndefault:\n\tbreak;", "FOO",
+     "\n\tfoo();"),
+    ("case FOO_BAR:\n\tbar();\ndefault:\n\tbreak;", "FOO", None),
+    # No label after the block.
+    ("switch (cmd) {\ncase FOO:\n\tfoo();\n\tbreak;\n}", "FOO", None),
+    ("case BAR:\n\tbar();\ncase FOO:\n\tfoo();\n}", "FOO", None),
+    # A repeated label slices its first occurrence.
+    ("case FOO:\n\tfirst();\ncase BAR:\n\tbar();\ncase FOO:\n\tsecond();\ndefault:", "FOO",
+     "\n\tfirst();"),
+    # Tabs and newlines after ``case`` and before the colon.
+    ("case\tFOO:\n\tfoo();\ncase BAR:", "FOO", "\n\tfoo();"),
+    ("case\n  FOO \t:\n\tfoo();\n\tcase BAR :", "FOO", "\n\tfoo();"),
+    # ``default:`` ends the block, after blank lines too.
+    ("case FOO:\n\tfoo();\n\n\tdefault :\n\tbreak;", "FOO", "\n\tfoo();"),
+    # A label without its colon is skipped; ``case`` need not start a word.
+    ("case FOO\n\tx();\nshowcase FOO:\n\ty();\ncase BAR:", "FOO", "\n\ty();"),
+    ("", "FOO", None),
+])
+def test_slice_case_block_edge_cases(code, macro, expected):
+    assert slice_case_block(code, macro) == expected
+    assert regex_slice_case_block(code, macro) == expected
+
+
+def test_slice_case_block_equals_regex_on_random_switches():
+    rng = random.Random(2025)
+    pieces = ["case", "default", "FOO", "FOO_BAR", "BAR", ":", " ", "\t", "\n", "x();", "\n\t"]
+    for _ in range(3000):
+        code = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 24)))
+        macro = rng.choice(["FOO", "BAR", "FOO_BAR"])
+        assert slice_case_block(code, macro) == regex_slice_case_block(code, macro), (code, macro)
+
+
+def test_slice_case_block_equals_regex_on_quick_generation(counted_campaign):
+    pairs = set(counted_campaign(1).case_pairs)
+    assert len({macro for _, macro in pairs}) > 1000
+    for code, macro in pairs:
+        assert slice_case_block(code, macro) == regex_slice_case_block(code, macro), macro
 
 
 def test_replay_and_recording_backends():
